@@ -443,8 +443,14 @@ func trueAccel(p vehicle.Profile, s vehicle.State, u vehicle.Input, w vehicle.Wi
 }
 
 // crashCheck classifies physical crashes: a hard ground impact outside
-// the landing phase, sustained loss of attitude, or gross divergence.
+// the landing phase, sustained loss of attitude, or gross divergence. A
+// non-finite position or attitude counts as divergence: every comparison
+// below is false on NaN, so without that test such a state would be
+// neither crashed nor diverged.
 func crashCheck(p vehicle.Profile, s vehicle.State, phase mission.Phase, tiltTime *float64, dt float64) (bool, string) {
+	if !finite(s.X, s.Y, s.Z, s.Roll, s.Pitch, s.Yaw) {
+		return true, "diverged"
+	}
 	if dist := math.Hypot(s.X, s.Y); dist > 2000 {
 		return true, "diverged"
 	}
@@ -463,4 +469,14 @@ func crashCheck(p vehicle.Profile, s vehicle.State, phase mission.Phase, tiltTim
 		*tiltTime = 0
 	}
 	return false, ""
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
