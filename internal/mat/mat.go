@@ -133,12 +133,17 @@ func (m *Mat) Symmetrize() *Mat {
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference between
-// m and b.
+// m and b, or NaN when any difference is NaN, so that a convergence test
+// "MaxAbsDiff(…) < tol" fails on a non-finite iterate instead of passing.
 func (m *Mat) MaxAbsDiff(b *Mat) float64 {
 	m.mustSameShape(b, "MaxAbsDiff")
 	var d float64
 	for i := range m.Data {
-		if a := math.Abs(m.Data[i] - b.Data[i]); a > d {
+		a := math.Abs(m.Data[i] - b.Data[i])
+		if math.IsNaN(a) {
+			return a
+		}
+		if a > d {
 			d = a
 		}
 	}

@@ -170,6 +170,12 @@ func (l *LQR) updateQuad(est vehicle.State, target mission.Waypoint) vehicle.Inp
 }
 
 // quadGain linearizes the quadcopter around hover and solves the DARE.
+func quadGain(q vehicle.Quadcopter, dt float64) (*mat.Mat, error) {
+	return mat.LQRGain(quadModel(q, dt))
+}
+
+// quadModel returns the hover linearization (A, B) and the LQR costs
+// (Q, R) whose DARE quadGain solves.
 //
 // Continuous-time linearization (small angles, hover thrust):
 //
@@ -177,7 +183,7 @@ func (l *LQR) updateQuad(est vehicle.State, target mission.Waypoint) vehicle.Inp
 //	φ̇ = ωφ …;  ω̇ = δM/I
 //
 // discretized with forward Euler at dt.
-func quadGain(q vehicle.Quadcopter, dt float64) (*mat.Mat, error) {
+func quadModel(q vehicle.Quadcopter, dt float64) (a, b, qCost, rCost *mat.Mat) {
 	const n, m = 12, 4
 	g := vehicle.Gravity
 	kd := q.DragCoef / q.Mass
@@ -208,23 +214,23 @@ func quadGain(q vehicle.Quadcopter, dt float64) (*mat.Mat, error) {
 	bc.Set(10, 2, 1/q.IY)
 	bc.Set(11, 3, 1/q.IZ)
 
-	a := mat.Identity(n).Add(ac.Scale(dt))
-	b := bc.Scale(dt)
+	a = mat.Identity(n).Add(ac.Scale(dt))
+	b = bc.Scale(dt)
 
 	// Cost: track position, damp velocity, and keep attitude strongly
 	// penalized so the regulator never commands tilts that risk loss of
 	// control — recovery must be gentle by construction.
-	qCost := mat.Diag([]float64{
+	qCost = mat.Diag([]float64{
 		1, 1, 4, // position
 		2, 2, 3, // velocity
 		120, 120, 8, // attitude
 		4, 4, 2, // rates
 	})
-	rCost := mat.Diag([]float64{
+	rCost = mat.Diag([]float64{
 		0.02,       // thrust
 		10, 10, 12, // moments (expensive: avoid violent torques)
 	})
-	return mat.LQRGain(a, b, qCost, rCost)
+	return a, b, qCost, rCost
 }
 
 func (l *LQR) updateRover(est vehicle.State, target mission.Waypoint) vehicle.Input {
@@ -278,6 +284,12 @@ func (l *LQR) refreshRoverGain(yaw, v float64) {
 // roverGain linearizes the kinematic bicycle about (yaw, v) and solves the
 // DARE for states [x y ψ v], inputs [a δ].
 func roverGain(r vehicle.Rover, yaw, v float64, dt float64) (*mat.Mat, error) {
+	return mat.LQRGain(roverModel(r, yaw, v, dt))
+}
+
+// roverModel returns the kinematic bicycle's linearization (A, B) about
+// (yaw, v) and the LQR costs (Q, R) whose DARE roverGain solves.
+func roverModel(r vehicle.Rover, yaw, v float64, dt float64) (a, b, qCost, rCost *mat.Mat) {
 	if v < 0.5 {
 		v = 0.5 // keep the steering channel controllable
 	}
@@ -297,9 +309,7 @@ func roverGain(r vehicle.Rover, yaw, v float64, dt float64) (*mat.Mat, error) {
 	bc.Set(3, 0, 1)           // a → v̇
 	bc.Set(2, 1, v/wheelbase) // δ → ψ̇
 
-	a := mat.Identity(4).Add(ac.Scale(dt))
-	b := bc.Scale(dt)
-	qCost := mat.Diag([]float64{2, 2, 4, 1})
-	rCost := mat.Diag([]float64{1, 2})
-	return mat.LQRGain(a, b, qCost, rCost)
+	a = mat.Identity(4).Add(ac.Scale(dt))
+	b = bc.Scale(dt)
+	return a, b, mat.Diag([]float64{2, 2, 4, 1}), mat.Diag([]float64{1, 2})
 }
