@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race race-runner check bench bench-baseline equiv-gate replay-gate record-corpus serve service-smoke loadtest campaign
+.PHONY: all build test lint race race-runner check bench bench-baseline equiv-gate goldens replay-gate record-corpus serve service-smoke loadtest campaign
 
 all: check
 
@@ -33,6 +33,17 @@ race-runner:
 # pre-refactor golden snapshot, at workers=1 and N.
 equiv-gate:
 	sh scripts/equiv_gate.sh
+
+# Re-record the experiment goldens: the reduced-suite snapshot that
+# scripts/equiv_gate.sh checks, and EXPERIMENTS_DATA.md, which the CI
+# drift job regenerates with the same flags. A deliberate act, for an
+# intended change of mission semantics: rerun and commit the diff.
+goldens:
+	$(GO) run ./cmd/experiments -exp all -missions 2 -seed 1 -workers 1 \
+		-out internal/experiments/testdata/reduced_all_m2_s1.golden.md \
+		-report internal/experiments/testdata/reduced_all_m2_s1.golden.json
+	$(GO) run ./cmd/experiments -exp all -missions 12 -seed 1 -workers 0 \
+		-out EXPERIMENTS_DATA.md
 
 # Replay-determinism gate: the committed recorded mission
 # (internal/sim/testdata/attack_mission.trace) must replay to the
