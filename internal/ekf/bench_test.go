@@ -12,10 +12,15 @@ import (
 	"repro/internal/vehicle"
 )
 
-// benchFilter returns a warmed filter plus a steady-state measurement and
-// the full active sensor set.
+// benchFilter returns a warmed quad filter plus a steady-state
+// measurement and the full active sensor set.
 func benchFilter() (*ekf.Filter, sensors.PhysState, sensors.TypeSet) {
-	prof := vehicle.MustProfile(vehicle.ArduCopter)
+	return benchFilterFor(vehicle.ArduCopter)
+}
+
+// benchFilterFor is benchFilter for any profile.
+func benchFilterFor(id vehicle.ProfileName) (*ekf.Filter, sensors.PhysState, sensors.TypeSet) {
+	prof := vehicle.MustProfile(id)
 	f := ekf.New(prof)
 	f.Init(vehicle.State{Z: 10})
 	meas := sensors.TruePhysState(vehicle.State{Z: 10}, [3]float64{}, sensors.BodyField(0))
@@ -47,6 +52,34 @@ func BenchmarkEKFPredictHybrid(b *testing.B) {
 
 func BenchmarkEKFCorrect(b *testing.B) {
 	f, meas, active := benchFilter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Correct(meas, active); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEKFCorrectMasked is the recovery path: GPS isolated, so the
+// correction runs on the barometer, magnetometer and gyro rows.
+func BenchmarkEKFCorrectMasked(b *testing.B) {
+	f, meas, active := benchFilter()
+	masked := active.Clone()
+	delete(masked, sensors.GPS)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Correct(meas, masked); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEKFCorrectRover corrects a ground rover, which carries no
+// roll/pitch rows.
+func BenchmarkEKFCorrectRover(b *testing.B) {
+	f, meas, active := benchFilterFor(vehicle.ArduRover)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/floats"
 	"repro/internal/mat"
 	"repro/internal/sensors"
 	"repro/internal/vehicle"
@@ -88,74 +89,81 @@ type Filter struct {
 	ws workspace
 }
 
+// The covariance is block-diagonal with six independent 2×2 blocks, one
+// per (position, velocity) axis and one per (angle, rate) axis: block b
+// pairs states blockBase[b] and blockBase[b]+3. The structure is exact,
+// not an approximation. The transition Jacobian couples only i ← i+3, Q
+// and the Init covariance are diagonal, and every observation row reads
+// one state, so neither recursion can create an off-block entry: the
+// dense products would compute every off-block element as a sum of +0
+// terms. That holds while P is finite, and P never depends on the
+// measurements, so a non-finite P needs a non-finite dt. The covariance
+// kernels therefore run on the blocks alone (see propagateCovariance and
+// covGain); P and K keep their dense nx×nx and nx×m storage, with the
+// off-block entries left at +0.
+const (
+	nblk = 6
+	// maxBlockRows bounds the observation rows that read one block: the
+	// (z, vz) block carries GPS z, GPS vz, and the barometer.
+	maxBlockRows = 3
+)
+
+// blockBase lists the first state of each covariance block.
+var blockBase = [nblk]int{0, 1, 2, 6, 7, 8}
+
+// blockOf returns the covariance block holding state s and the state's
+// index within it (0 for blockBase[b], 1 for blockBase[b]+3).
+func blockOf(s int) (blk, loc int) {
+	return s%3 + 3*(s/6), (s / 3) % 2
+}
+
 // workspace holds the filter's preallocated scratch so the steady-state
-// Predict/Correct cycle allocates nothing. All matrices are sized at New
-// for the filter's maximum observation count; the Correct scratch is
-// reshaped (never grown) to the active row count each call. The scratch
-// is strictly call-local — no state survives in it between steps — so
-// reusing it cannot change results; delint's hotalloc analyzer keeps the
-// hot functions from quietly reverting to the allocating kernels.
+// Predict/Correct cycle allocates nothing. The scratch is strictly
+// call-local — no state survives in it between steps except the dt the
+// transition Jacobian is keyed to — so reusing it cannot change results;
+// delint's hotalloc analyzer keeps the hot functions from quietly
+// reverting to allocating kernels.
 type workspace struct {
-	// fkin is the kinematic transition Jacobian used for covariance
-	// propagation. Because the prediction is strapdown (measurement
-	// driven), attitude errors do not couple into velocity through the
-	// dynamics model; the only structural coupling is position ← velocity.
+	// fdt is the period of the kinematic transition Jacobian used for
+	// covariance propagation, set by the first propagation after Init
+	// (dt is fixed per mission; Q·dt still follows the current dt).
+	// Because the prediction is strapdown (measurement driven), attitude
+	// errors do not couple into velocity through the dynamics model; the
+	// only structural coupling is position ← velocity and angle ← rate.
 	// Using the full model Jacobian here would let GPS innovations leak
 	// into the attitude estimate through spurious cross-covariances.
-	// It is built lazily on the first covariance propagation after Init
-	// (dt is fixed per mission) together with its cached transpose.
-	fkin  *mat.Mat
-	fkinT *mat.Mat
-	// qdt caches q·dt for the dt of the most recent propagation.
-	qdt   *mat.Mat
-	qdtDT float64
+	fdt    float64
+	fdtSet bool
 
-	// nx×nx scratch for covariance propagation and the Joseph-form-style
-	// update, plus the cached identity.
-	nxA, nxB *mat.Mat
-	ident    *mat.Mat
-
-	// Correct scratch, reshaped to the active row count m each call.
+	// Correct scratch: the active rows and measurements, the dense nx×m
+	// gain (reshaped to the active row count m each call), the per-row
+	// innovation gates, and the per-block solve: Sᵀ (reshaped to the
+	// block's row count), one right-hand side and its solution.
 	rows  []obsChannel
 	z     []float64
-	h     *mat.Mat  // m×nx observation matrix
-	ht    *mat.Mat  // nx×m
-	ph    *mat.Mat  // nx×m
-	pht   *mat.Mat  // m×nx
-	hph   *mat.Mat  // m×m
-	rmat  *mat.Mat  // m×m measurement-noise diagonal
-	s     *mat.Mat  // m×m innovation covariance
-	st    *mat.Mat  // m×m
-	kt    *mat.Mat  // m×nx gain transpose
-	k     *mat.Mat  // nx×m gain
-	gates []float64 // per-row innovation gate half-widths
+	k     *mat.Mat
+	gates []float64
+	st    *mat.Mat
+	rhs   mat.Vec
+	sol   mat.Vec
+	lu    *mat.LU
 	xvec  mat.Vec
 	innov mat.Vec
 	dx    mat.Vec
-	lu    mat.LU
 }
 
 // newWorkspace preallocates scratch for a filter with maxM observation
 // rows.
 func newWorkspace(maxM int) workspace {
 	return workspace{
-		qdt:   mat.New(nx, nx),
-		nxA:   mat.New(nx, nx),
-		nxB:   mat.New(nx, nx),
-		ident: mat.Identity(nx),
 		rows:  make([]obsChannel, 0, maxM),
 		z:     make([]float64, 0, maxM),
-		h:     mat.New(maxM, nx),
-		ht:    mat.New(nx, maxM),
-		ph:    mat.New(nx, maxM),
-		pht:   mat.New(maxM, nx),
-		hph:   mat.New(maxM, maxM),
-		rmat:  mat.New(maxM, maxM),
-		s:     mat.New(maxM, maxM),
-		st:    mat.New(maxM, maxM),
-		kt:    mat.New(maxM, nx),
 		k:     mat.New(nx, maxM),
 		gates: make([]float64, 0, maxM),
+		st:    mat.New(maxBlockRows, maxBlockRows),
+		rhs:   mat.NewVec(maxBlockRows),
+		sol:   mat.NewVec(maxBlockRows),
+		lu:    mat.NewLU(maxBlockRows),
 		xvec:  mat.NewVec(nx),
 		innov: mat.NewVec(maxM),
 		dx:    mat.NewVec(nx),
@@ -163,7 +171,7 @@ func newWorkspace(maxM int) workspace {
 }
 
 // reshape resizes a workspace matrix to r×c, reusing its backing array
-// (the workspace is sized at New for the maximum row count).
+// (the workspace is sized at New for the largest shape).
 func reshape(m *mat.Mat, r, c int) {
 	m.Rows, m.Cols = r, c
 	m.Data = m.Data[:r*c]
@@ -201,17 +209,6 @@ func New(p vehicle.Profile) *Filter {
 	}
 }
 
-// kinematicJacobian builds the constant position←velocity transition
-// Jacobian for covariance propagation at period dt.
-func kinematicJacobian(dt float64) *mat.Mat {
-	f := mat.Identity(nx)
-	for i := 0; i < 3; i++ {
-		f.Set(i, 3+i, dt)   // pos ← vel
-		f.Set(6+i, 9+i, dt) // angle ← rate
-	}
-	return f
-}
-
 // nz guards against a zero noise floor (singular R).
 func nz(v float64) float64 {
 	if v <= 0 {
@@ -236,8 +233,7 @@ func defaultProcessNoise() *mat.Mat {
 func (f *Filter) Init(s vehicle.State) {
 	f.x = s
 	f.p = mat.Identity(nx).Scale(0.1)
-	f.ws.fkin = nil
-	f.ws.fkinT = nil
+	f.ws.fdtSet = false
 	f.predPending = false
 	if f.sched != nil {
 		f.schedIdx = 0
@@ -331,13 +327,10 @@ func (f *Filter) PredictHybrid(u vehicle.Input, meas sensors.PhysState, active s
 		if !f.predPending && f.sched.covers(dt) && active.Len() == sensors.NumTypes {
 			// Nominal path: the covariance propagation is deferred and
 			// consumed (together with the correction) from the shared
-			// schedule in Correct. The dt-keyed scratch is still built on
-			// the first tick so that a later detach sees exactly the
-			// caches a private filter would have (fkin is keyed to the
-			// mission's first dt).
-			if f.ws.fkin == nil {
-				f.refreshDT(dt)
-			}
+			// schedule in Correct. The Jacobian is still keyed on the
+			// first tick so that a later detach propagates with exactly
+			// the dt a private filter would (the mission's first dt).
+			f.ws.keyJacobian(dt)
 			f.predPending = true
 		} else {
 			f.detachShared()
@@ -386,36 +379,79 @@ func (f *Filter) PredictHybrid(u vehicle.Input, meas sensors.PhysState, active s
 	f.x = next
 }
 
-// propagateCovariance advances P ← sym(F·P·Fᵀ + Q·dt) entirely in the
-// preallocated workspace. The arithmetic and its evaluation order are the
-// same as the allocating chain fj.Mul(p).Mul(fj.T()).Add(q.Scale(dt)).
-// Symmetrize() it replaced, so covariances stay bit-identical.
+// propagateCovariance advances P ← sym(F·P·Fᵀ + Q·dt) block by block.
+// Each block runs the arithmetic of the dense chain
+// F.Mul(P).Mul(F.T()).Add(Q.Scale(dt)).Symmetrize() restricted to its
+// entries, in the same order, so the covariance is bit-identical to the
+// dense product (the off-block terms it skips are all +0). F is keyed to
+// the first propagation's dt since Init; Q·dt uses the current dt.
 func (f *Filter) propagateCovariance(_ vehicle.Input, dt float64) {
-	ws := &f.ws
-	//lint:ignore floatcmp dt is a cache key: any bit change must rebuild Q·dt
-	if ws.fkin == nil || ws.qdtDT != dt {
-		f.refreshDT(dt)
+	f.ws.keyJacobian(dt)
+	fb := mat2{1, f.ws.fdt, 0, 1}
+	fbT := mat2{1, 0, f.ws.fdt, 1}
+	for _, a := range blockBase {
+		fpf := mul2(mul2(fb, f.block(a)), fbT)
+		fpf.a00 += float64(dt * f.q.At(a, a))
+		fpf.a01 += float64(dt * f.q.At(a, a+3))
+		fpf.a10 += float64(dt * f.q.At(a+3, a))
+		fpf.a11 += float64(dt * f.q.At(a+3, a+3))
+		f.setBlock(a, sym2(fpf))
 	}
-	mat.MulInto(ws.nxA, ws.fkin, f.p)
-	mat.MulInto(ws.nxB, ws.nxA, ws.fkinT)
-	mat.AddInto(ws.nxB, ws.nxB, ws.qdt)
-	mat.SymmetrizeInto(f.p, ws.nxB)
 }
 
-// refreshDT rebuilds the dt-dependent scratch: the kinematic transition
-// Jacobian (built once per Init — dt is fixed within a mission) and the
-// scaled process noise Q·dt (re-derived whenever dt changes). Cold path:
-// it allocates, so it is deliberately outside the hotalloc-gated set.
-func (f *Filter) refreshDT(dt float64) {
-	ws := &f.ws
-	if ws.fkin == nil {
-		ws.fkin = kinematicJacobian(dt)
-		ws.fkinT = ws.fkin.T()
+// keyJacobian keys the transition Jacobian to dt unless a propagation
+// since Init already has.
+func (ws *workspace) keyJacobian(dt float64) {
+	if !ws.fdtSet {
+		ws.fdt, ws.fdtSet = dt, true
 	}
-	//lint:ignore floatcmp dt is a cache key: any bit change must rebuild Q·dt
-	if ws.qdtDT != dt {
-		mat.ScaleInto(ws.qdt, dt, f.q)
-		ws.qdtDT = dt
+}
+
+// mat2 is a 2×2 block in row-major order. It is a struct rather than an
+// array so that the block kernels pass it in registers.
+type mat2 struct{ a00, a01, a10, a11 float64 }
+
+// block reads the covariance block whose first state is a.
+func (f *Filter) block(a int) mat2 {
+	d := f.p.Data
+	return mat2{d[a*nx+a], d[a*nx+a+3], d[(a+3)*nx+a], d[(a+3)*nx+a+3]}
+}
+
+// setBlock writes the covariance block whose first state is a.
+func (f *Filter) setBlock(a int, b mat2) {
+	d := f.p.Data
+	d[a*nx+a], d[a*nx+a+3] = b.a00, b.a01
+	d[(a+3)*nx+a], d[(a+3)*nx+a+3] = b.a10, b.a11
+}
+
+// mul2 returns a·b with mat.MulInto's accumulation: every sum starts
+// from +0, runs over k in order, and skips zero left operands.
+func mul2(a, b mat2) mat2 {
+	var c mat2
+	if v := a.a00; !floats.Zero(v) {
+		c.a00 += v * b.a00
+		c.a01 += v * b.a01
+	}
+	if v := a.a01; !floats.Zero(v) {
+		c.a00 += v * b.a10
+		c.a01 += v * b.a11
+	}
+	if v := a.a10; !floats.Zero(v) {
+		c.a10 += v * b.a00
+		c.a11 += v * b.a01
+	}
+	if v := a.a11; !floats.Zero(v) {
+		c.a10 += v * b.a10
+		c.a11 += v * b.a11
+	}
+	return c
+}
+
+// sym2 returns (a + aᵀ)/2 with mat.SymmetrizeInto's arithmetic.
+func sym2(a mat2) mat2 {
+	return mat2{
+		0.5 * (a.a00 + a.a00), 0.5 * (a.a01 + a.a10),
+		0.5 * (a.a10 + a.a01), 0.5 * (a.a11 + a.a11),
 	}
 }
 
@@ -490,33 +526,115 @@ func (f *Filter) selectRows(meas sensors.PhysState, active sensors.TypeSet) ([]o
 	return rows, z
 }
 
-// covGain runs the measurement-independent half of the correction: it
-// builds H and R for the row set, forms S = H·P·Hᵀ + R, derives the
-// innovation gate half-widths, solves for the Kalman gain K = P·Hᵀ·S⁻¹,
-// and advances P ← sym((I − K·H)·P). The returned gain and gates alias
-// the workspace and stay valid until the next covGain call.
+// covGain runs the measurement-independent half of the correction: per
+// covariance block it forms S = H·P·Hᵀ + R over the block's active rows,
+// derives their innovation gate half-widths, solves for the block's
+// Kalman gain K = P·Hᵀ·S⁻¹, and advances P ← sym((I − K·H)·P). The
+// returned gain (dense nx×m, +0 off the blocks) and gates alias the
+// workspace and stay valid until the next covGain call.
+//
+// Each step repeats the dense chain's arithmetic on the block's entries,
+// in the same order, so P is bit-identical to the dense product: S is
+// block-diagonal up to a row permutation, partial pivoting on the dense
+// S never leaves a block, and every term the block kernels skip is +0.
+// The gains of all blocks are solved before any block of P is written,
+// so an error from a singular block leaves P untouched.
 func (f *Filter) covGain(rows []obsChannel) (*mat.Mat, []float64, error) {
 	ws := &f.ws
 	m := len(rows)
-	reshape(ws.h, m, nx)
-	reshape(ws.rmat, m, m)
-	ws.h.Zero()
-	ws.rmat.Zero()
-	for i, ch := range rows {
-		ws.h.Set(i, ch.state, 1)
-		ws.rmat.Set(i, i, ch.noise*ch.noise)
+	reshape(ws.k, nx, m)
+	ws.k.Zero()
+	gates := ws.gates[:m]
+	var groups [nblk]obsBlock
+	for r, ch := range rows {
+		blk, loc := blockOf(ch.state)
+		g := &groups[blk]
+		g.idx[g.n] = r
+		g.h[g.n][loc] = 1
+		g.n++
 	}
-	reshape(ws.ht, nx, m)
-	mat.TransposeInto(ws.ht, ws.h)
-	reshape(ws.ph, nx, m)
-	mat.MulInto(ws.ph, f.p, ws.ht)
-	// S = H·P·Hᵀ + R. The addition runs over the full m×m matrices (R is
-	// zero off the diagonal), matching the element order of the allocating
-	// Add(Diag(rdiag)) it replaced.
-	reshape(ws.hph, m, m)
-	mat.MulInto(ws.hph, ws.h, ws.ph)
-	reshape(ws.s, m, m)
-	mat.AddInto(ws.s, ws.hph, ws.rmat)
+	var post [nblk]mat2
+	for b, a := range blockBase {
+		g := &groups[b]
+		pb := f.block(a)
+		if g.n > 0 {
+			if err := f.blockGain(a, pb, g, rows, gates); err != nil {
+				return nil, nil, fmt.Errorf("ekf correct: %w", err)
+			}
+		}
+		// K·H over the block's rows; an unobserved block has K = 0.
+		var kh [2][2]float64
+		for i := 0; i < 2; i++ {
+			for c := 0; c < g.n; c++ {
+				v := ws.k.At(a+3*i, g.idx[c])
+				if floats.Zero(v) {
+					continue
+				}
+				for j := 0; j < 2; j++ {
+					kh[i][j] += v * g.h[c][j]
+				}
+			}
+		}
+		// I − K·H element by element, as the dense SubInto (0 − (+0) is +0).
+		ikh := mat2{1 - kh[0][0], 0 - kh[0][1], 0 - kh[1][0], 1 - kh[1][1]}
+		post[b] = sym2(mul2(ikh, pb))
+	}
+	for b, a := range blockBase {
+		f.setBlock(a, post[b])
+	}
+	return ws.k, gates, nil
+}
+
+// obsBlock is one covariance block's share of the active rows: their
+// indices into the row set, in row order, and the block's observation
+// matrix (row c reads block-local state loc where h[c][loc] = 1).
+type obsBlock struct {
+	n   int
+	idx [maxBlockRows]int
+	h   [maxBlockRows][2]float64
+}
+
+// blockGain computes one block's innovation gates and gain columns: a is
+// the block's first state, pb its prior covariance and g its rows.
+func (f *Filter) blockGain(a int, pb mat2, g *obsBlock, rows []obsChannel, gates []float64) error {
+	ws := &f.ws
+	mb, h := g.n, &g.h
+	// P·Hᵀ (2×mb).
+	prow := [2][2]float64{{pb.a00, pb.a01}, {pb.a10, pb.a11}}
+	var ph [2][maxBlockRows]float64
+	for i := 0; i < 2; i++ {
+		for k := 0; k < 2; k++ {
+			v := prow[i][k]
+			if floats.Zero(v) {
+				continue
+			}
+			for c := 0; c < mb; c++ {
+				ph[i][c] += v * h[c][k]
+			}
+		}
+	}
+	// S = H·P·Hᵀ + R, stored transposed for the solve. R is zero off the
+	// diagonal; the addition still runs over every element, as the dense
+	// Add(Diag(rdiag)) did.
+	st := ws.st
+	reshape(st, mb, mb)
+	for r := 0; r < mb; r++ {
+		for c := 0; c < mb; c++ {
+			var hph, rn float64
+			for k := 0; k < 2; k++ {
+				v := h[r][k]
+				if floats.Zero(v) {
+					continue
+				}
+				hph += v * ph[k][c]
+			}
+			if r == c {
+				n := rows[g.idx[r]].noise
+				rn = float64(n * n)
+			}
+			st.Set(c, r, hph+rn)
+		}
+	}
 	// Innovation gates: ±gateSigma·√S_ii, the standard EKF defense against
 	// implausible jumps. A deception bias larger than the gate is admitted
 	// gradually (a few gates per correction cycle) rather than
@@ -524,33 +642,24 @@ func (f *Filter) covGain(rows []obsChannel) (*mat.Mat, []float64, error) {
 	// can drag the estimate while still letting persistent spoofing take
 	// effect, as observed on real autopilot stacks.
 	const gateSigma = 5.0
-	gates := ws.gates[:m]
-	for i := range gates {
-		gates[i] = gateSigma * math.Sqrt(ws.s.At(i, i))
+	for r := 0; r < mb; r++ {
+		gates[g.idx[r]] = gateSigma * math.Sqrt(st.At(r, r))
 	}
-	// K = P Hᵀ S⁻¹  ⇒  solve Sᵀ Kᵀ = (P Hᵀ)ᵀ.
-	reshape(ws.st, m, m)
-	mat.TransposeInto(ws.st, ws.s)
-	reshape(ws.pht, m, nx)
-	mat.TransposeInto(ws.pht, ws.ph)
-	reshape(ws.kt, m, nx)
-	if err := ws.lu.Refactor(ws.st); err != nil {
-		return nil, nil, fmt.Errorf("ekf correct: %w", err)
+	// K = P Hᵀ S⁻¹  ⇒  solve Sᵀ Kᵀ = (P Hᵀ)ᵀ, one state column at a time.
+	if err := ws.lu.Refactor(st); err != nil {
+		return err
 	}
-	if err := ws.lu.SolveInto(ws.kt, ws.pht); err != nil {
-		return nil, nil, fmt.Errorf("ekf correct: %w", err)
+	rhs, sol := ws.rhs[:mb], ws.sol[:mb]
+	for i := 0; i < 2; i++ {
+		copy(rhs, ph[i][:mb])
+		if err := ws.lu.SolveVecInto(sol, rhs); err != nil {
+			return err
+		}
+		for c, r := range g.idx[:mb] {
+			ws.k.Set(a+3*i, r, sol[c])
+		}
 	}
-	reshape(ws.k, nx, m)
-	mat.TransposeInto(ws.k, ws.kt)
-	// P ← sym((I − K·H)·P), in the same evaluation order as the allocating
-	// Identity(nx).Sub(k.Mul(h)).Mul(p).Symmetrize() chain it replaced.
-	// The update reads only K, H, and the prior P, none of which the state
-	// half touches, so running it before the state update is bit-exact.
-	mat.MulInto(ws.nxA, ws.k, ws.h)
-	mat.SubInto(ws.nxA, ws.ident, ws.nxA)
-	mat.MulInto(ws.nxB, ws.nxA, f.p)
-	mat.SymmetrizeInto(f.p, ws.nxB)
-	return ws.k, gates, nil
+	return nil
 }
 
 // applyGain runs the state half of the correction: the innovation against

@@ -156,7 +156,6 @@ func defaultHotalloc() HotallocConfig {
 			corePath + ":Pipeline.revalidateSensors",
 			corePath + ":Pipeline.exitRecovery",
 			corePath + ":Pipeline.triggerDetail",
-			ekfPath + ":Filter.refreshDT",
 			modulePath + "/internal/mat:LU.grow",
 			fgPath + ":Graph.growScratch",
 			modulePath + "/internal/recovery:LQR.refreshRoverGain",

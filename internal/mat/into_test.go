@@ -221,3 +221,44 @@ func TestLUWorkspaceZeroAlloc(t *testing.T) {
 		t.Errorf("LU Refactor+SolveInto allocates %v per run, want 0", n)
 	}
 }
+
+// TestLUAlternatingSizesZeroAlloc: a workspace sized for its largest
+// system factors and solves smaller ones, alternating sizes every call,
+// without allocating — no warm-up at each size is needed, because the
+// buffers are resliced within their capacity.
+func TestLUAlternatingSizesZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var as []*Mat
+	var bs, xs []Vec
+	for _, n := range []int{3, 1, 2} {
+		a := randMat(rng, n, n)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+float64(n))
+		}
+		as = append(as, a)
+		bs = append(bs, Vec(randMat(rng, n, 1).Data))
+		xs = append(xs, NewVec(n))
+	}
+	ws := NewLU(3)
+	if n := testing.AllocsPerRun(50, func() {
+		for i, a := range as {
+			if err := ws.Refactor(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := ws.SolveVecInto(xs[i], bs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("LU alternating sizes 3/1/2 allocates %v per run, want 0", n)
+	}
+	for i, a := range as {
+		want, err := Solve(a, bs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitEqual(xs[i], want) {
+			t.Fatalf("size %d: resliced workspace solve diverges from a fresh solve", a.Rows)
+		}
+	}
+}

@@ -28,19 +28,25 @@ func NewLU(n int) *LU {
 	return &LU{lu: New(n, n), piv: make([]int, n), col: NewVec(n), x: NewVec(n)}
 }
 
-// grow sizes the factorization workspace for n×n systems. Cold path: it
-// allocates only when the system outgrows the workspace (declared in the
-// hotalloc analyzer's cold list), so repeated same-sized factorizations
-// and solves stay allocation-free.
+// grow sizes the factorization workspace for n×n systems, reslicing
+// within the buffers' capacity. Cold path: it allocates only when the
+// system outgrows every size seen so far (declared in the hotalloc
+// analyzer's cold list), so factorizations and solves that alternate
+// between sizes it has already held stay allocation-free.
 func (f *LU) grow(n int) {
-	if f.lu == nil || f.lu.Rows != n || f.lu.Cols != n {
+	if f.lu == nil || cap(f.lu.Data) < n*n {
 		f.lu = New(n, n)
+	}
+	f.lu.Rows, f.lu.Cols, f.lu.Data = n, n, f.lu.Data[:n*n]
+	if cap(f.piv) < n {
 		f.piv = make([]int, n)
 	}
-	if len(f.col) != n {
+	f.piv = f.piv[:n]
+	if cap(f.col) < n {
 		f.col = NewVec(n)
 		f.x = NewVec(n)
 	}
+	f.col, f.x = f.col[:n], f.x[:n]
 }
 
 // FactorLU computes the LU factorization of a square matrix a with partial

@@ -43,7 +43,7 @@ BENCHTIME="${BENCHTIME:-1s}"
 FLEET_BENCHTIME="${FLEET_BENCHTIME:-2s}"
 MIN_FLEET_SPEEDUP="${MIN_FLEET_SPEEDUP:-1.5}"
 MIN_CAMPAIGN_RATIO="${MIN_CAMPAIGN_RATIO:-0.85}"
-BENCH='^(BenchmarkMissionShort|BenchmarkTick|BenchmarkEKFPredict|BenchmarkEKFPredictHybrid|BenchmarkEKFCorrect|BenchmarkFGMarginals|BenchmarkFGMarginalAllVars)$'
+BENCH='^(BenchmarkMissionShort|BenchmarkTick|BenchmarkEKFPredict|BenchmarkEKFPredictHybrid|BenchmarkEKFCorrect|BenchmarkEKFCorrectMasked|BenchmarkEKFCorrectRover|BenchmarkFGMarginals|BenchmarkFGMarginalAllVars)$'
 FLEETBENCH='^(BenchmarkRunner|BenchmarkFleet)$'
 CAMPBENCH='^(BenchmarkCampaignSharded|BenchmarkEngineDirect)$'
 PKGS=(./. ./internal/core/ ./internal/ekf/ ./internal/fg/)
