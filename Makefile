@@ -21,12 +21,10 @@ lint:
 race:
 	$(GO) test -race -short ./...
 
-# Un-short race pass over the parallel runner, the batched fleet
-# executor, and the workers=1-vs-8 determinism sweep — the places a data
-# race could corrupt results.
+# Un-short race pass over the parallel runner and the workers=1-vs-8
+# determinism sweep — the places a data race could corrupt results.
 race-runner:
 	$(GO) test -race -timeout 1800s ./internal/runner
-	$(GO) test -race -timeout 1800s ./internal/fleet
 	$(GO) test -race -timeout 1800s -run 'TestParallelDeterminism|TestDeltaForSingleflight|TestReportDeterminism' ./internal/experiments
 
 # Pipeline-equivalence gate: reduced experiment suite vs the committed
@@ -66,8 +64,8 @@ loadtest:
 	bash scripts/loadtest.sh
 
 # Campaign smoke gate: the committed tiny grid study must reproduce its
-# golden byte for byte — monolithic, sharded+checkpointed on the fleet
-# engine, and across a -halt-after interrupt followed by -resume.
+# golden byte for byte — monolithic, sharded+checkpointed, and across a
+# -halt-after interrupt followed by -resume.
 campaign:
 	bash scripts/campaign_smoke.sh
 
@@ -81,10 +79,10 @@ check:
 	sh scripts/check.sh
 
 # Before/after hot-path benchmark comparison against the pre-campaign
-# tree (git worktree), the runner-vs-fleet engine race, the campaign-vs-
-# direct overhead race, and the byte-identity checks; writes
-# BENCH_PR10.json. See scripts/bench_compare.sh for the BEFORE_REF/
-# BENCHTIME/MIN_FLEET_SPEEDUP/MIN_CAMPAIGN_RATIO knobs.
+# tree (git worktree), the campaign-vs-direct overhead race, and the
+# byte-identity checks; writes BENCH_PR10.json. See
+# scripts/bench_compare.sh for the BEFORE_REF/BENCHTIME/
+# MIN_CAMPAIGN_RATIO knobs.
 bench:
 	bash scripts/bench_compare.sh
 

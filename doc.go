@@ -26,17 +26,17 @@
 // byte-identical bytes at any pool size, and CI's service-smoke gate
 // replays the committed trace over real HTTP against the same golden.
 //
-// Every execution path — experiment sweeps, the service pool, and the
-// batched fleet executor — dispatches through one engine seam
-// (internal/engine): pre-drawn seeded jobs in, submission-order results
-// and telemetry out. On top of it, internal/campaign runs declarative
-// Monte-Carlo studies (grid or random sweeps over profiles, strategies,
-// attack widths, onset, wind, and δ-scale) partitioned into
-// checkpointable shards: each finished shard's partial report persists
-// atomically, an interrupted study resumes by skipping completed
-// shards, and shard reports merge exactly — the study bytes are
-// invariant to shard count, worker count, engine choice, and
-// interruption history.
+// Every execution path — experiment sweeps, campaigns, and the service
+// pool — dispatches through one engine seam (internal/engine): pre-drawn
+// seeded jobs in, submission-order results and telemetry out, with the
+// process-wide per-(profile, dt) caches attached to every mission. On
+// top of it, internal/campaign runs declarative Monte-Carlo studies
+// (grid or random sweeps over profiles, strategies, attack widths,
+// onset, wind, and δ-scale) partitioned into checkpointable shards:
+// each finished shard's partial report persists atomically, an
+// interrupted study resumes by skipping completed shards, and shard
+// reports merge exactly — the study bytes are invariant to shard count,
+// worker count, and interruption history.
 //
 // See README.md for a map of the packages, DESIGN.md for the system
 // inventory and per-experiment index, and EXPERIMENTS.md for

@@ -16,8 +16,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// benchSpec sizes one benchmark iteration: a small real grid, fleet-
-// friendly (profile-homogeneous runs of missions per condition), with
+// benchSpec sizes one benchmark iteration: a small real grid with
 // shards sized like a real study's — each shard holds enough missions to
 // saturate the workers, so the race measures sharding overhead rather
 // than an artificially starved tail.
@@ -45,18 +44,12 @@ func reportMissionThroughput(b *testing.B, missionsPerOp int) {
 	b.ReportMetric(float64(missionsPerOp*b.N)/sec/cores, "missions/sec/core")
 }
 
-// benchBatch pins the fleet lockstep width in both legs to the shard
-// size, so the race compares equal lane widths and isolates the campaign
-// layer's own overhead (per-shard collection, checkpointless run, merge)
-// instead of a batch-amortization artifact.
-const benchBatch = 16
-
 func BenchmarkCampaignSharded(b *testing.B) {
 	c, err := New(benchSpec())
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := Options{Engine: engine.Fleet(), Shards: 4, BatchSize: benchBatch}
+	opt := Options{Shards: 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,7 +66,7 @@ func BenchmarkEngineDirect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := engine.Fleet()
+	eng := engine.Runner()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,7 +75,7 @@ func BenchmarkEngineDirect(b *testing.B) {
 			b.Fatal(err)
 		}
 		col := telemetry.NewCollector()
-		if _, err := eng.Run(context.Background(), fresh, engine.Options{Telemetry: col, BatchSize: benchBatch}); err != nil {
+		if _, err := eng.Run(context.Background(), fresh, engine.Options{Telemetry: col}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := col.Report(telemetry.Meta{Generator: "bench"}); err != nil {

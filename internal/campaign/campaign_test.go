@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
 // testSpec is the suite's study: a small real grid — two vehicle
@@ -91,8 +89,7 @@ func TestShardRanges(t *testing.T) {
 
 // TestStudyInvariance is the acceptance matrix: the study's bytes are
 // identical across monolithic vs sharded execution, shard counts 1/4/16,
-// workers 1 vs all CPUs, runner vs fleet engine, and persisted vs
-// in-memory runs.
+// workers 1 vs all CPUs, and persisted vs in-memory runs.
 func TestStudyInvariance(t *testing.T) {
 	want := renderStudy(t, Options{Shards: 1, Workers: 1})
 	variants := []struct {
@@ -102,8 +99,6 @@ func TestStudyInvariance(t *testing.T) {
 		{"shards=4", Options{Shards: 4, Workers: 1}},
 		{"shards=16", Options{Shards: 16, Workers: 1}},
 		{"workers=N", Options{Shards: 4, Workers: runtime.NumCPU()}},
-		{"engine=fleet", Options{Shards: 1, Workers: 1, Engine: engine.Fleet()}},
-		{"engine=fleet/shards=4/workers=N", Options{Shards: 4, Engine: engine.Fleet(), BatchSize: 3}},
 		{"checkpointed", Options{Shards: 4, Workers: 1, Dir: t.TempDir()}},
 	}
 	for _, v := range variants {

@@ -65,9 +65,9 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 	// Shared, when non-nil, supplies the read-only per-(profile, dt)
 	// caches — recovery LQR gain, EKF covariance schedule, diagnosis
-	// graph specs — built once by the fleet executor and referenced by
-	// every mission in a batch. Must match Profile.Name and DT; results
-	// are bit-identical with or without it.
+	// graph specs — built once per process by SharedFor and referenced
+	// by every mission of that profile and DT. Must match Profile.Name
+	// and DT; results are bit-identical with or without it.
 	Shared *Shared
 }
 

@@ -129,8 +129,8 @@ const histLen = 2
 // The graphs themselves stay per-diagnoser — their threshold factors
 // read each diagnoser's private error window through evidence-cell
 // pointers — but the structural enumeration is a pure function of δ, so
-// one spec serves every mission sharing a calibration (the fleet
-// executor caches specs per δ alongside the other profile caches).
+// one spec serves every mission sharing a calibration (core.Shared
+// caches specs per δ alongside the other per-profile caches).
 type GraphSpec struct {
 	specs   []sensorSpec
 	maxVars int

@@ -30,7 +30,7 @@
 // serves every later tick. Rover profiles never reach a bitwise
 // fixpoint (their roll/pitch block is unobserved and grows without
 // bound), so their schedule keeps extending — the per-step cost is
-// amortized across every rover mission in the fleet.
+// amortized across every rover mission the process runs.
 package ekf
 
 import (

@@ -1,29 +1,25 @@
-// Package engine is the unified mission-execution seam: one interface
-// over the repo's three execution paths — the per-goroutine parallel
-// runner (internal/runner), the batched lockstep fleet executor
-// (internal/fleet), and the long-lived sharded service pool
-// (runner.Pool). Every consumer that used to pick an executor ad hoc
-// (the experiments package's Options.Fleet branch, the mission service's
-// attachShared + Pool.Submit wiring) now dispatches through an Engine.
+// Package engine is the mission-execution seam: one interface over the
+// per-goroutine parallel runner (internal/runner), plus an adapter that
+// streams jobs through a long-lived sharded runner.Pool for the mission
+// service. Both attach the process-wide core.Shared caches (AttachShared)
+// to every job, so no consumer needs its own cache wiring.
 //
-// The seam's contract is the one every executor already honors: jobs are
-// pre-drawn and fully seeded before submission, results are indexed by
-// submission order, telemetry is reduced strictly in submission order,
-// and the lowest-indexed failure is the reported error. Consequently the
-// engines are interchangeable byte for byte — same jobs, same result
-// bytes, same report bytes, at any worker count, batch size, or pool
-// shard count — which is what lets the campaign layer (internal/campaign)
-// treat engine choice as a pure throughput knob.
+// The seam's contract is the one the runner and the pool both honor:
+// jobs are pre-drawn and fully seeded before submission, results are
+// indexed by submission order, telemetry is reduced strictly in
+// submission order, and the lowest-indexed failure is the reported error.
+// Consequently execution is byte-identical at any worker count or pool
+// shard count, and the Engine interface lets the campaign layer
+// (internal/campaign) and instrumentation wrap the runner without
+// changing a byte.
 package engine
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/fleet"
+	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Job is one pre-drawn mission, identical to the runner's job unit: a
@@ -31,31 +27,16 @@ import (
 // stateful collaborators, shared with no other job.
 type Job = runner.Job
 
-// Options carry the execution knobs common to every engine. None of
-// them may change output bytes — they trade wall-clock time and memory
-// only.
-type Options struct {
-	// Workers is the parallelism; <= 0 means all CPUs.
-	Workers int
-	// BatchSize caps the fleet executor's lockstep width; <= 0 selects
-	// the fleet default. Other engines ignore it.
-	BatchSize int
-	// Progress, when non-nil, is called after each job completes with the
-	// number of completed jobs and the total. Calls are serialized and
-	// completed is strictly increasing; which job finished is unspecified.
-	Progress func(completed, total int)
-	// Telemetry, when non-nil, receives every job's mission telemetry
-	// after the sweep completes, strictly in submission order.
-	Telemetry *telemetry.Collector
-}
+// Options carry the execution knobs (workers, progress, telemetry). None
+// of them may change output bytes — they trade wall-clock time only.
+type Options = runner.Options
 
 // Engine executes pre-drawn seeded jobs and reduces their results and
 // telemetry in submission order. Implementations must be byte-identical
-// to one another: for the same job list, the result slice, the reported
-// error (lowest-indexed failure), and the telemetry reduce order are
-// engine-invariant.
+// to the runner: for the same job list, the result slice, the reported
+// error (lowest-indexed failure), and the telemetry reduce order match.
 type Engine interface {
-	// Name identifies the engine ("runner", "fleet", "pool").
+	// Name identifies the engine.
 	Name() string
 	// Run executes the jobs and returns their results indexed by
 	// submission order. On error the lowest-indexed failure is returned;
@@ -65,45 +46,23 @@ type Engine interface {
 }
 
 // Runner returns the per-goroutine parallel runner engine — one
-// goroutine per in-flight mission, the latency-optimized default.
+// goroutine per in-flight mission.
 func Runner() Engine { return runnerEngine{} }
 
-// Fleet returns the batched lockstep fleet engine — profile-homogeneous
-// batches stepped in lockstep over shared per-(profile, dt) caches, the
-// throughput-optimized choice for large homogeneous sweeps.
-func Fleet() Engine { return fleetEngine{} }
-
-// Names lists the engines constructible by name, in preference order.
-func Names() []string { return []string{"runner", "fleet"} }
-
-// ByName resolves a stateless engine from its name. The pool engine is
-// excluded: it wraps a caller-owned runner.Pool (see NewPool).
-func ByName(name string) (Engine, error) {
-	switch name {
-	case "runner":
-		return runnerEngine{}, nil
-	case "fleet":
-		return fleetEngine{}, nil
-	}
-	return nil, fmt.Errorf("engine: unknown engine %q (have runner, fleet)", name)
-}
-
 // AttachShared points every job whose config has no shared caches yet at
-// the process-wide per-(profile, dt) caches, so a sweep's missions
-// reference one DARE solution, one EKF covariance schedule, and one
-// compiled diagnosis graph spec instead of rebuilding them per mission.
-// Results are bit-identical with or without the caches (the PR-9
-// equivalence suite pins this); a profile whose caches cannot be built
-// simply runs unshared, surfacing any real defect as the usual
-// per-mission construction error. Every engine applies this uniformly,
-// so no dispatcher needs its own cache wiring.
+// the process-wide per-(profile, dt) caches (core.SharedFor), so a
+// sweep's missions reference one DARE solution, one EKF covariance
+// schedule, and one compiled diagnosis graph spec instead of rebuilding
+// them per mission. Results are bit-identical with or without the
+// caches; a profile whose caches cannot be built simply runs unshared,
+// surfacing any real defect as the usual per-mission construction error.
 func AttachShared(jobs []Job) {
 	for i := range jobs {
 		cfg := &jobs[i].Cfg
 		if cfg.Shared != nil {
 			continue
 		}
-		if sh, err := fleet.SharedFor(cfg.Profile, cfg.DT); err == nil {
+		if sh, err := core.SharedFor(cfg.Profile, cfg.DT); err == nil {
 			cfg.Shared = sh
 		}
 	}
@@ -116,20 +75,5 @@ func (runnerEngine) Name() string { return "runner" }
 
 func (runnerEngine) Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Result, error) {
 	AttachShared(jobs)
-	return runner.Run(ctx, jobs, runner.Options{
-		Workers: opt.Workers, Progress: opt.Progress, Telemetry: opt.Telemetry,
-	})
-}
-
-// fleetEngine adapts fleet.Run to the seam. The fleet attaches the
-// shared caches itself, per batch.
-type fleetEngine struct{}
-
-func (fleetEngine) Name() string { return "fleet" }
-
-func (fleetEngine) Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Result, error) {
-	return fleet.Run(ctx, jobs, fleet.Options{
-		Workers: opt.Workers, BatchSize: opt.BatchSize,
-		Progress: opt.Progress, Telemetry: opt.Telemetry,
-	})
+	return runner.Run(ctx, jobs, opt)
 }

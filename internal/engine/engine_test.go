@@ -57,17 +57,9 @@ func suite(t testing.TB, n int) []Job {
 	return jobs
 }
 
-// runOn executes a fresh suite on the engine and renders its telemetry
-// report.
-func runOn(t *testing.T, eng Engine, n int, opt Options) ([]sim.Result, []byte) {
+// report renders a collector's telemetry report.
+func report(t *testing.T, col *telemetry.Collector) []byte {
 	t.Helper()
-	col := telemetry.NewCollector()
-	col.Begin("equiv")
-	opt.Telemetry = col
-	res, err := eng.Run(context.Background(), suite(t, n), opt)
-	if err != nil {
-		t.Fatalf("%s: %v", eng.Name(), err)
-	}
 	rep, err := col.Report(telemetry.Meta{Generator: "engine-test"})
 	if err != nil {
 		t.Fatalf("report: %v", err)
@@ -76,91 +68,166 @@ func runOn(t *testing.T, eng Engine, n int, opt Options) ([]sim.Result, []byte) 
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("write report: %v", err)
 	}
-	return res, buf.Bytes()
+	return buf.Bytes()
 }
 
-// engines under test: the two stateless engines plus a pool engine over
-// a fresh 4-shard pool. The cleanup closes the pool after the test.
-func testEngines(t *testing.T) []Engine {
+// runOn executes a fresh suite on the runner engine and renders its
+// telemetry report.
+func runOn(t *testing.T, n int, opt Options) ([]sim.Result, []byte) {
 	t.Helper()
-	p := runner.NewPool(4, 64)
-	t.Cleanup(p.Close)
-	return []Engine{Runner(), Fleet(), NewPool(p)}
+	col := telemetry.NewCollector()
+	col.Begin("equiv")
+	opt.Telemetry = col
+	res, err := Runner().Run(context.Background(), suite(t, n), opt)
+	if err != nil {
+		t.Fatalf("runner: %v", err)
+	}
+	return res, report(t, col)
+}
+
+// drain submits jobs to a fresh pool of the given shard count, the way
+// the mission service does, and collects every released index's result
+// and error. It fails the test unless Ready yields exactly 0..n-1 in
+// order.
+func drain(t *testing.T, ctx context.Context, shards int, jobs []Job) ([]sim.Result, []error) {
+	t.Helper()
+	p := runner.NewPool(shards, 64)
+	defer p.Close()
+	st, err := NewPool(p).Submit(ctx, jobs)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	res := make([]sim.Result, len(jobs))
+	errs := make([]error, len(jobs))
+	next := 0
+	for i := range st.Ready() {
+		if i != next {
+			t.Fatalf("stream released %d, want %d", i, next)
+		}
+		next++
+		if errs[i] = st.Err(i); errs[i] == nil {
+			res[i] = st.Result(i)
+		}
+	}
+	if next != len(jobs) {
+		t.Fatalf("stream released %d indices, want %d", next, len(jobs))
+	}
+	return res, errs
 }
 
 // TestEnginesByteIdentical is the seam's headline contract: for the same
-// pre-drawn job list, every engine produces deeply equal results and a
-// byte-identical telemetry report, at worker counts 1 and 4.
+// pre-drawn job list, the runner engine and the pool (its stream folded
+// in release order) produce deeply equal results and a byte-identical
+// telemetry report, at 1 and 4 workers or pool shards.
 func TestEnginesByteIdentical(t *testing.T) {
 	const n = 10
-	wantRes, wantRep := runOn(t, Runner(), n, Options{Workers: 1})
-	for _, eng := range testEngines(t) {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s/workers=%d", eng.Name(), workers)
-			t.Run(name, func(t *testing.T) {
-				gotRes, gotRep := runOn(t, eng, n, Options{Workers: workers, BatchSize: 3})
-				if len(gotRes) != len(wantRes) {
-					t.Fatalf("results = %d, want %d", len(gotRes), len(wantRes))
-				}
-				for i := range wantRes {
-					if !reflect.DeepEqual(gotRes[i], wantRes[i]) {
-						t.Errorf("job %d: %s result diverged from runner reference", i, eng.Name())
-					}
-				}
-				if !bytes.Equal(gotRep, wantRep) {
-					t.Errorf("%s telemetry report differs from runner reference", name)
-				}
-			})
+	wantRes, wantRep := runOn(t, n, Options{Workers: 1})
+	check := func(t *testing.T, gotRes []sim.Result, gotRep []byte) {
+		t.Helper()
+		if len(gotRes) != len(wantRes) {
+			t.Fatalf("results = %d, want %d", len(gotRes), len(wantRes))
 		}
+		for i := range wantRes {
+			if !reflect.DeepEqual(gotRes[i], wantRes[i]) {
+				t.Errorf("job %d: result diverged from the workers=1 runner reference", i)
+			}
+		}
+		if !bytes.Equal(gotRep, wantRep) {
+			t.Error("telemetry report differs from the workers=1 runner reference")
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("runner/workers=%d", workers), func(t *testing.T) {
+			gotRes, gotRep := runOn(t, n, Options{Workers: workers})
+			check(t, gotRes, gotRep)
+		})
+		t.Run(fmt.Sprintf("pool/workers=%d", workers), func(t *testing.T) {
+			gotRes, errs := drain(t, context.Background(), workers, suite(t, n))
+			col := telemetry.NewCollector()
+			col.Begin("equiv")
+			for i := range gotRes {
+				if errs[i] != nil {
+					t.Fatalf("job %d: %v", i, errs[i])
+				}
+				col.Add(gotRes[i].Telemetry)
+			}
+			check(t, gotRes, report(t, col))
+		})
 	}
 }
 
-// TestEnginesLowestIndexedError pins the shared failure contract: every
-// engine reports the lowest-indexed failure with the job's label, and
-// surviving jobs still carry valid results.
+// brokenSuite is a 6-job suite whose jobs 2 and 4 fail validation.
+func brokenSuite(t *testing.T) []Job {
+	t.Helper()
+	jobs := suite(t, 6)
+	jobs[2].Label = "suite/broken-a"
+	jobs[2].Cfg.DT = -1 // rejected by sim.Config.Validate
+	jobs[4].Label = "suite/broken-b"
+	jobs[4].Cfg.DT = -1
+	return jobs
+}
+
+// TestEnginesLowestIndexedError pins the failure contract: the runner
+// reports the lowest-indexed failure with the job's label, the pool
+// fails exactly the broken indices, and surviving jobs still carry valid
+// results on both.
 func TestEnginesLowestIndexedError(t *testing.T) {
-	wantRes, _ := runOn(t, Runner(), 6, Options{Workers: 2})
-	for _, eng := range testEngines(t) {
-		t.Run(eng.Name(), func(t *testing.T) {
-			jobs := suite(t, 6)
-			jobs[2].Label = "suite/broken-a"
-			jobs[2].Cfg.DT = -1 // rejected by sim.Config.Validate
-			jobs[4].Label = "suite/broken-b"
-			jobs[4].Cfg.DT = -1
-			res, err := eng.Run(context.Background(), jobs, Options{Workers: 2})
-			if err == nil {
-				t.Fatal("broken job did not surface an error")
+	wantRes, _ := runOn(t, 6, Options{Workers: 2})
+	survivors := func(t *testing.T, res []sim.Result) {
+		t.Helper()
+		for _, i := range []int{0, 1, 3, 5} {
+			if !reflect.DeepEqual(res[i], wantRes[i]) {
+				t.Errorf("surviving job %d diverged from runner reference", i)
 			}
-			for _, want := range []string{"job 2", "suite/broken-a"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q missing %q", err, want)
-				}
-			}
-			for _, i := range []int{0, 1, 3, 5} {
-				if !reflect.DeepEqual(res[i], wantRes[i]) {
-					t.Errorf("surviving job %d diverged from runner reference", i)
-				}
-			}
-		})
+		}
 	}
+	t.Run("runner", func(t *testing.T) {
+		res, err := Runner().Run(context.Background(), brokenSuite(t), Options{Workers: 2})
+		if err == nil {
+			t.Fatal("broken job did not surface an error")
+		}
+		for _, want := range []string{"job 2", "suite/broken-a"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q missing %q", err, want)
+			}
+		}
+		survivors(t, res)
+	})
+	t.Run("pool", func(t *testing.T) {
+		res, errs := drain(t, context.Background(), 2, brokenSuite(t))
+		for i, err := range errs {
+			if broken := i == 2 || i == 4; broken != (err != nil) {
+				t.Errorf("job %d: err = %v, want failure %v", i, err, broken)
+			}
+		}
+		survivors(t, res)
+	})
 }
 
 // TestEnginesCancelledContext: a pre-cancelled context returns a bare
-// ctx.Err() from every engine.
+// ctx.Err() from the runner and fails every pool job with it.
 func TestEnginesCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, eng := range testEngines(t) {
-		t.Run(eng.Name(), func(t *testing.T) {
-			_, err := eng.Run(ctx, suite(t, 4), Options{Workers: 2})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if err.Error() != context.Canceled.Error() {
-				t.Errorf("cancellation error is wrapped: %q", err)
-			}
-		})
+	bare := func(t *testing.T, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if err.Error() != context.Canceled.Error() {
+			t.Errorf("cancellation error is wrapped: %q", err)
+		}
 	}
+	t.Run("runner", func(t *testing.T) {
+		_, err := Runner().Run(ctx, suite(t, 4), Options{Workers: 2})
+		bare(t, err)
+	})
+	t.Run("pool", func(t *testing.T) {
+		_, errs := drain(t, ctx, 2, suite(t, 4))
+		for _, err := range errs {
+			bare(t, err)
+		}
+	})
 }
 
 // TestPoolStreamSubmissionOrder pins the streaming release: Ready yields
@@ -205,22 +272,6 @@ func TestPoolSubmitRejections(t *testing.T) {
 	p.BeginDrain()
 	if _, err := eng.Submit(context.Background(), suite(t, 1)); !errors.Is(err, runner.ErrDraining) {
 		t.Errorf("draining submit: err = %v, want ErrDraining", err)
-	}
-}
-
-// TestByName covers the engine registry used by CLI flags.
-func TestByName(t *testing.T) {
-	for _, name := range Names() {
-		eng, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if eng.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, eng.Name())
-		}
-	}
-	if _, err := ByName("warp"); err == nil {
-		t.Error("unknown engine name did not error")
 	}
 }
 

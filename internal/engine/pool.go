@@ -2,21 +2,18 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// Pool adapts a long-lived runner.Pool to the engine seam. Unlike the
-// stateless runner/fleet engines it carries admission control — a
-// submission that does not fit the pool's bounded queue is rejected
-// whole with runner.ErrQueueFull, and a draining pool rejects with
-// runner.ErrDraining — and it exposes the pool's in-submission-order
-// streaming release (Submit) on top of the batch-synchronous Engine
-// contract (Run). The mission service streams; the campaign layer and
-// tests may Run.
+// Pool adapts a long-lived runner.Pool to the engine seam for the
+// mission service. Unlike the stateless runner engine it carries
+// admission control — a submission that does not fit the pool's bounded
+// queue is rejected whole with runner.ErrQueueFull, and a draining pool
+// rejects with runner.ErrDraining — and it streams: Submit releases
+// finished indices strictly in submission order, so a consumer folding
+// results as they are released sees the runner's bytes.
 type Pool struct {
 	pool *runner.Pool
 }
@@ -24,9 +21,6 @@ type Pool struct {
 // NewPool wraps an existing pool. The caller keeps ownership: draining
 // and closing remain the caller's job.
 func NewPool(p *runner.Pool) *Pool { return &Pool{pool: p} }
-
-// Name identifies the engine.
-func (*Pool) Name() string { return "pool" }
 
 // Submit reserves queue slots all-or-nothing and enqueues the jobs,
 // returning a Stream that releases finished indices strictly in
@@ -47,50 +41,6 @@ func (p *Pool) Submit(ctx context.Context, jobs []Job) (*Stream, error) {
 		return nil, err
 	}
 	return &Stream{ticket: ticket, results: results}, nil
-}
-
-// Run implements Engine on the pool: Submit, drain the stream, and
-// mirror the runner's contract — results indexed by submission order,
-// lowest-indexed failure reported with the job's label, bare ctx.Err()
-// on cancellation, telemetry reduced in submission order only when every
-// job succeeded.
-func (p *Pool) Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Result, error) {
-	st, err := p.Submit(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	firstErr := -1
-	done := 0
-	for i := range st.Ready() {
-		done++
-		if opt.Progress != nil {
-			opt.Progress(done, len(jobs))
-		}
-		if st.Err(i) != nil && firstErr < 0 {
-			firstErr = i
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return st.results, err
-	}
-	if firstErr >= 0 {
-		return st.results, fmt.Errorf("engine: pool job %d (%s): %w", firstErr, jobs[firstErr].Label, st.Err(firstErr))
-	}
-	if opt.Telemetry != nil {
-		reduceTelemetry(st.results, opt.Telemetry)
-	}
-	return st.results, nil
-}
-
-// reduceTelemetry is the engine seam's deterministic reduce: per-job
-// telemetry is collected strictly in submission order, never completion
-// order, mirroring the runner's. It is a declared root of the puretick
-// proof — everything it reaches must stay free of nondeterminism
-// sources.
-func reduceTelemetry(results []sim.Result, c *telemetry.Collector) {
-	for i := range results {
-		c.Add(results[i].Telemetry)
-	}
 }
 
 // Stream is the handle to one submitted batch on the pool engine:

@@ -6,10 +6,9 @@
 // Every experiment follows the same two-phase shape: it first draws its
 // complete scenario list from the master seed — consuming the rng exactly
 // as a serial sweep would — and then submits the resulting jobs through
-// the unified execution seam (internal/engine), reducing the results in
-// submission order. Randomness is therefore fixed before fan-out and the
-// rendered tables are byte-identical at any worker count and under any
-// engine (per-goroutine runner, batched fleet, service pool).
+// the execution seam's runner engine (internal/engine), reducing the
+// results in submission order. Randomness is therefore fixed before
+// fan-out and the rendered tables are byte-identical at any worker count.
 //
 // The registry (registry.go) exposes each experiment behind the
 // Experiment interface; cmd/experiments drives them and renders the
@@ -63,20 +62,6 @@ type Options struct {
 	// to whichever experiment happened to trigger them would make report
 	// content depend on experiment selection.
 	Collector *telemetry.Collector
-	// Engine selects the execution engine every sweep dispatches through.
-	// Nil selects the per-goroutine runner, or the batched fleet executor
-	// when Fleet is set. All engines are byte-identical (the seam's
-	// contract, pinned by internal/engine's equivalence suite); the choice
-	// changes throughput only.
-	Engine engine.Engine
-	// Fleet selects the batched fleet executor when Engine is nil:
-	// missions are partitioned into profile-homogeneous batches stepped in
-	// lockstep over shared per-(profile, dt) caches. Output is
-	// byte-identical to the runner's; only throughput changes.
-	Fleet bool
-	// BatchSize caps the fleet executor's lockstep width; <= 0 selects
-	// the fleet default. Other engines ignore it.
-	BatchSize int
 }
 
 // withDefaults fills unset options.
@@ -93,29 +78,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// engine resolves the execution engine: an explicit Options.Engine wins,
-// then the Fleet shorthand, then the runner default.
-func (o Options) engine() engine.Engine {
-	if o.Engine != nil {
-		return o.Engine
-	}
-	if o.Fleet {
-		return engine.Fleet()
-	}
-	return engine.Runner()
-}
-
-// engineOptions extracts the execution knobs for the engine seam.
-func (o Options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.Workers, BatchSize: o.BatchSize, Progress: o.Progress, Telemetry: o.Collector}
-}
-
-// sweep executes pre-drawn jobs on the selected execution engine,
-// returning results in submission order. Engines are interchangeable
-// byte for byte; every experiment funnels through here, so the engine
-// choice covers the whole evaluation.
+// sweep executes pre-drawn jobs on the runner engine (which attaches
+// the shared per-(profile, dt) caches), returning results in submission
+// order. Every experiment funnels through here.
 func sweep(ctx context.Context, jobs []runner.Job, opt Options) ([]sim.Result, error) {
-	return opt.engine().Run(ctx, jobs, opt.engineOptions())
+	return engine.Runner().Run(ctx, jobs, engine.Options{
+		Workers: opt.Workers, Progress: opt.Progress, Telemetry: opt.Collector,
+	})
 }
 
 // scenario is one mission draw: plan, wind, timing, and seed.

@@ -14,7 +14,6 @@ const (
 	telemetryPath = modulePath + "/internal/telemetry"
 	corePath      = modulePath + "/internal/core"
 	runnerPath    = modulePath + "/internal/runner"
-	fleetPath     = modulePath + "/internal/fleet"
 	enginePath    = modulePath + "/internal/engine"
 	campaignPath  = modulePath + "/internal/campaign"
 	simPath       = modulePath + "/internal/sim"
@@ -62,10 +61,6 @@ func DefaultAnalyzers() []*Analyzer {
 				modulePath + "/internal/mission",
 				corePath,
 				runnerPath,
-				// The fleet executor reorganizes mission execution into
-				// lockstep batches; its partition/step/reduce path is part
-				// of the same byte-identity surface as the runner's.
-				fleetPath,
 				telemetryPath,
 				// The trace codec and the replay/bus sources are part of
 				// the byte-identity surface: a recorded mission must decode
@@ -90,17 +85,14 @@ func DefaultAnalyzers() []*Analyzer {
 		Puretick(PuretickConfig{
 			Roots: []FuncRef{
 				corePath + ":Pipeline.Tick",
+				// The runner's in-order reduce is the one place every
+				// sweep's results flow through on their way into a report.
 				runnerPath + ":reduceTelemetry",
-				// The fleet's lockstep loop covers the whole in-mission
-				// step path (sim.Mission.Step and everything it reaches),
-				// which the runner only exercised through RunContext: no
-				// select (cancellation is polled via ctx.Err), no clock,
-				// no global rand anywhere a batch round can reach.
-				fleetPath + ":stepLanes",
-				fleetPath + ":reduceTelemetry",
-				// The engine seam's in-order reduce is the one place every
-				// engine's results flow through on their way into a report.
-				enginePath + ":reduceTelemetry",
+				// One control period of a mission, without RunContext's
+				// cancellation select: the whole in-mission step path
+				// (sensor source, Tick, physics, telemetry capture) is
+				// free of clock reads, global rand and select.
+				simPath + ":Mission.Step",
 			},
 			ClockPath: clockPath,
 			Sinks:     defaultSinks(),
@@ -141,9 +133,9 @@ func defaultHotalloc() HotallocConfig {
 			fgPath + ":Graph.Marginal",
 			fgPath + ":Graph.MarginalsInto",
 			fgPath + ":Graph.MLE",
-			// The fleet's lockstep round loop: one batch round must not
-			// allocate, or per-tick garbage scales with the lane count.
-			fleetPath + ":stepLanes",
+			// One mission control period: the nominal step must not
+			// allocate, or per-tick garbage scales with mission length.
+			simPath + ":Mission.Step",
 		},
 		// Episodic or one-time paths sanctioned to allocate. Each runs per
 		// alert episode or per configuration change, never per tick, and
@@ -166,16 +158,13 @@ func defaultHotalloc() HotallocConfig {
 			ekfPath + ":Schedule.extendTo",
 			ekfPath + ":Schedule.seedPost",
 			ekfPath + ":Filter.detachShared",
-			// Per-mission epilogue, episodic telemetry captures, and
-			// terminal error paths of the fleet's lockstep loop: each runs
-			// once per mission or only inside an attack/recovery episode,
-			// never on the nominal per-round path.
+			// Per-mission epilogue and terminal error paths of the
+			// mission step: each runs at most once per mission, never on
+			// the nominal per-tick path.
 			simPath + ":Mission.Finish",
-			simPath + ":Mission.noteDiagnosis",
 			simPath + ":srcErr",
 			sourcePath + ":exhaustedErr",
 			sourcePath + ":desyncErr",
-			fleetPath + ":progress.bump",
 			// Failure injection trips at most once per mission: the
 			// armed flag flips off after the first SetDropout.
 			sensorsPath + ":Suite.SetDropout",

@@ -74,10 +74,10 @@ type Config struct {
 	TraceTransitions bool
 
 	// Shared optionally attaches the per-(profile, DT) read-only caches
-	// the fleet executor builds once per batch (recovery LQR gain, EKF
-	// covariance schedule, diagnosis graph specs). Results are
-	// bit-identical with or without it; Validate rejects a mismatched
-	// profile or control period.
+	// (recovery LQR gain, EKF covariance schedule, diagnosis graph specs)
+	// that core.SharedFor keeps once per process and the engines attach
+	// to every job. Results are bit-identical with or without it;
+	// Validate rejects a mismatched profile or control period.
 	Shared *core.Shared
 }
 
@@ -197,10 +197,11 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 // Mission is one resumable mission: NewMission builds the per-mission
 // state, Step advances exactly one control period, and Finish computes
 // the outcome once Step reports the mission over. RunContext is the
-// single-mission driver; the fleet executor (internal/fleet) interleaves
-// Steps of many same-profile missions in lockstep. Both paths run the
-// identical per-tick code in the identical order, which is what makes
-// fleet output byte-identical to the per-goroutine runner's.
+// driver. The split keeps RunContext's cancellation select out of Step,
+// so Step can be a root of the static checks (internal/lint: puretick
+// and hotalloc): one control period, and everything it reaches, reads
+// no clock or global rand, never selects, and allocates nothing on the
+// nominal path.
 type Mission struct {
 	cfg     Config
 	fw      *core.Framework
@@ -374,8 +375,8 @@ func (m *Mission) Step() (bool, error) {
 
 // noteDiagnosis captures the pipeline's diagnosis verdict into the
 // result while an attack or a recovery episode is in progress. The
-// clones it takes happen only on attacked or recovering ticks, so it is
-// a declared hotalloc cold cut point of the fleet's lockstep loop.
+// verdict set is shared with the pipeline, which only ever replaces it,
+// so keeping it allocates nothing on the per-tick path.
 func (m *Mission) noteDiagnosis(attackActive bool) {
 	if attackActive && m.fw.DiagnosisRan() {
 		m.res.DiagnosedDuringAttack = m.fw.Compromised()

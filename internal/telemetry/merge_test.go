@@ -98,12 +98,12 @@ func TestMergeReportsSplitEqualsMonolithic(t *testing.T) {
 	want := renderJSON(t, mono)
 
 	splits := [][]int{
-		{n},                                     // one shard: merge of a single part
-		{6, n},                                  // two halves
-		{3, 6, 9, n},                            // four shards
+		{n},                                    // one shard: merge of a single part
+		{6, n},                                 // two halves
+		{3, 6, 9, n},                           // four shards
 		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, n}, // shard per mission
-		{7, n},                                  // cut exactly on the group boundary
-		{2, 11, n},                              // uneven shards
+		{7, n},                                 // cut exactly on the group boundary
+		{2, 11, n},                             // uneven shards
 	}
 	for _, cuts := range splits {
 		parts := make([]*Report, 0, len(cuts))

@@ -6,8 +6,8 @@
 #   1. Golden drift: the monolithic study must reproduce the committed
 #      smoke_study.golden.json byte for byte. Any change to the spec
 #      normalization, job drawing, execution, or merge shows up here.
-#   2. Layout invariance: sharding the study (with checkpoints, on the
-#      fleet engine, at workers=N) must emit the identical bytes.
+#   2. Layout invariance: sharding the study (with checkpoints, at
+#      workers=N) must emit the identical bytes.
 #   3. Interrupt/resume replay: a run halted by -halt-after (exit 3,
 #      partial checkpoints on disk) then resumed must also emit the
 #      identical bytes — an interruption leaves no trace in the study.
@@ -37,8 +37,8 @@ if ! diff -u "$GOLD" "$tmp/mono.json" > "$tmp/mono.diff"; then
     exit 1
 fi
 
-echo "== campaign smoke: sharded + checkpointed + fleet =="
-"$tmp/experiments" -campaign "$SPEC" -shards 4 -fleet \
+echo "== campaign smoke: sharded + checkpointed =="
+"$tmp/experiments" -campaign "$SPEC" -shards 4 \
     -checkpoint "$tmp/ckpt_full" -out "$tmp/shard.json"
 cmp "$GOLD" "$tmp/shard.json"
 
@@ -63,4 +63,4 @@ fi
     -checkpoint "$tmp/ckpt" -resume -out "$tmp/resumed.json"
 cmp "$GOLD" "$tmp/resumed.json"
 
-echo "ok: study bytes identical across monolithic, sharded+fleet, and interrupt+resume"
+echo "ok: study bytes identical across monolithic, sharded, and interrupt+resume"
